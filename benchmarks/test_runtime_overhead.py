@@ -1,6 +1,6 @@
 """Runtime-telemetry overhead: uninstrumented vs null vs live profiler.
 
-Measures the fig12 fast-config workload in three configurations:
+Measures the fig12 workload at its defaults in three configurations:
 
 * ``bare`` — no profiler anywhere near the call;
 * ``null`` — the workload wrapped in
@@ -31,8 +31,7 @@ MAX_NULL_OVERHEAD_PCT = 5.0
 
 def _workload() -> None:
     reset_packet_ids(0)
-    run_hierarchy(default_node_rates(), duration=DURATION,
-                  event_queue="calendar", drain=True)
+    run_hierarchy(default_node_rates(), duration=DURATION)
 
 
 def _bare() -> float:

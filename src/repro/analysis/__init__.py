@@ -6,9 +6,6 @@ from repro.analysis.deviation import (inversions, kendall_tau_distance,
 from repro.analysis.fairness import (jains_index, max_relative_error,
                                      normalized_shares,
                                      weighted_jains_index)
-from repro.analysis.latency import (LatencyStats, delay_stats_by_flow,
-                                    packet_delays, pacing_jitter,
-                                    percentile, summarize)
 
 __all__ = [
     "inversions",
@@ -20,10 +17,4 @@ __all__ = [
     "max_relative_error",
     "normalized_shares",
     "weighted_jains_index",
-    "LatencyStats",
-    "delay_stats_by_flow",
-    "packet_delays",
-    "pacing_jitter",
-    "percentile",
-    "summarize",
 ]

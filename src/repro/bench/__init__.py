@@ -9,9 +9,8 @@ committed baselines (:mod:`repro.bench.compare`).  ``python -m
 repro.bench run|compare|report`` is the CLI.
 
 The submodules are imported lazily by the CLI; importing
-:mod:`repro.bench` itself stays dependency-free so
-``benchmarks/perf_smoke.py`` can pull the shared calibration loop
-without dragging in the experiment stack.
+:mod:`repro.bench` itself stays dependency-free and does not drag in
+the experiment stack.
 """
 
 from repro.bench.results import (SCHEMA_VERSION, BenchFormatError,

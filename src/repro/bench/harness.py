@@ -6,9 +6,8 @@ so every scenario score is divided by :func:`calibration_score` — a
 fixed pure-Python loop whose instruction mix (integer LCG, tuple heapq
 churn, dict traffic) resembles the simulator's hot path — measured **in
 the same process, interleaved with the workload**.  The normalized
-ratio cancels host speed to first order; this is the same protocol
-``benchmarks/perf_smoke.py`` gates CI with (it imports the calibration
-loop from here).
+ratio cancels host speed to first order; CI's bench-telemetry job gates
+the quick scenarios with it.
 
 Five scenarios are registered:
 
@@ -50,9 +49,8 @@ DEFAULT_ROUNDS = 3
 #: Rounds in ``--quick`` mode.
 QUICK_ROUNDS = 2
 
-#: Simulated durations shared with ``benchmarks/perf_smoke.py`` — kept
-#: identical between quick and full modes so committed baselines and
-#: quick CI runs measure the same workload.
+#: Simulated durations — kept identical between quick and full modes so
+#: committed baselines and quick CI runs measure the same workload.
 HIER_DURATION = 0.003
 INCAST_DURATION = 0.002
 INCAST_BUFFER_KIB = 64
@@ -107,8 +105,7 @@ def _run_hier(quick: bool) -> Tuple[float, Dict[str, int]]:
     from repro.sim.packet import reset_packet_ids
     reset_packet_ids(0)
     start = time.perf_counter()
-    run = run_hierarchy(default_node_rates(), duration=HIER_DURATION,
-                        event_queue="calendar", drain=True)
+    run = run_hierarchy(default_node_rates(), duration=HIER_DURATION)
     elapsed = time.perf_counter() - start
     packets = len(run.engine.recorder)
     return packets / elapsed, {"packets": packets}
@@ -120,7 +117,7 @@ def _run_incast(quick: bool) -> Tuple[float, Dict[str, int]]:
     from repro.sim.packet import reset_packet_ids
     reset_packet_ids(0)
     start = time.perf_counter()
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     dataplane = build_incast(sim,
                              buffer_bytes=INCAST_BUFFER_KIB * 1024,
                              duration=INCAST_DURATION,
@@ -168,7 +165,6 @@ def _run_fabric(quick: bool) -> Tuple[float, Dict[str, int]]:
     reset_packet_ids(0)
     start = time.perf_counter()
     fabric = build_fct_fabric(FABRIC_LOAD, workload="pareto",
-                              event_queue="calendar",
                               duration=FABRIC_DURATION)
     fabric.sim.run()
     elapsed = time.perf_counter() - start

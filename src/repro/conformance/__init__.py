@@ -16,7 +16,7 @@ they implement.  Three layers:
   records.
 * :mod:`repro.conformance.metamorphic` — semantics-preserving scenario
   transforms (rate/size scaling, flow permutation, time translation,
-  backend/event-queue substitution) asserting verdicts are preserved.
+  backend substitution) asserting verdicts are preserved.
 
 ``python -m repro.conformance`` exposes ``check | sweep | report``;
 the applicable checker set per algorithm comes from the

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.conformance check --algorithm wf2q+
     python -m repro.conformance check --algorithm drr --seed 3 \\
-        --backend fast --event-queue calendar
+        --backend fast
     python -m repro.conformance check --trace fig11.jsonl
     python -m repro.conformance check --algorithm drr --inject reorder
     python -m repro.conformance sweep
@@ -74,7 +74,6 @@ def _cmd_check(args) -> int:
         scenario = make_scenario(args.scenario, seed=args.seed)
     report = check_algorithm(args.algorithm, scenario=scenario,
                              seed=args.seed, backend=args.backend,
-                             event_queue=args.event_queue,
                              inject=args.inject)
     _print_report(report, args.verbose)
     return 0 if report.passed else 1
@@ -89,8 +88,7 @@ def _cmd_sweep(args) -> int:
             scenario = make_scenario(spec.scenario, seed=args.seed)
             result = metamorphic_verdicts(
                 name, scenario,
-                substitutions=[{"backend": "fast"},
-                               {"event_queue": "calendar"}])
+                substitutions=[{"backend": "fast"}])
             _print_report(result.base, args.verbose)
             for label in sorted(result.transformed):
                 held = result.transformed[label].verdicts()
@@ -103,8 +101,7 @@ def _cmd_sweep(args) -> int:
                 failed.append(name)
         else:
             report = check_algorithm(name, seed=args.seed,
-                                     backend=args.backend,
-                                     event_queue=args.event_queue)
+                                     backend=args.backend)
             _print_report(report, args.verbose)
             if not report.passed:
                 failed.append(name)
@@ -157,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--backend", default=None,
                        help="ordered-list backend override")
-    check.add_argument("--event-queue", default="reference",
-                       help="simulator event-queue backend")
     check.add_argument("--inject", choices=INJECTIONS,
                        help="corrupt the trace first (harness "
                             "self-test: the check must then fail)")
@@ -173,11 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to specific algorithm(s)")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--backend", default=None)
-    sweep.add_argument("--event-queue", default="reference")
     sweep.add_argument("--metamorphic", action="store_true",
                        help=f"also run the transform battery "
                             f"({', '.join(sorted(TRANSFORMS))}) plus "
-                            "backend/event-queue substitution")
+                            "backend substitution")
     sweep.add_argument("--verbose", action="store_true")
     sweep.set_defaults(func=_cmd_sweep)
 

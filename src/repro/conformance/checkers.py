@@ -87,7 +87,7 @@ class ConformanceRun:
     scenario: Optional[Scenario] = None
     link_rate_bps: Optional[float] = None
     #: The engine's Recorder (byte-identity comparisons across
-    #: backend/event-queue substitutions); absent for trace-only runs.
+    #: backend substitutions); absent for trace-only runs.
     recorder: Optional[Any] = None
 
     # ------------------------------------------------------------------

@@ -116,13 +116,12 @@ def metamorphic_verdicts(
         substitutions: Optional[Sequence[Dict[str, str]]] = None,
 ) -> MetamorphicResult:
     """Run the base scenario, every transform, and every
-    backend/event-queue substitution; collect verdict mismatches.
+    backend substitution; collect verdict mismatches.
 
     ``substitutions`` are ``run_scenario`` keyword dicts (e.g.
-    ``{"backend": "fast"}``, ``{"event_queue": "calendar"}``); besides
-    preserved verdicts these demand *byte-identical* departures, since
-    backends and event queues promise exact semantics, not just
-    bound-level equivalence.
+    ``{"backend": "fast"}``); besides preserved verdicts these demand
+    *byte-identical* departures, since backends promise exact
+    semantics, not just bound-level equivalence.
     """
     base_run = run_scenario(scenario, algorithm_name)
     base_report = ConformanceReport(algorithm=algorithm_name,

@@ -42,9 +42,7 @@ INJECTIONS = ("reorder", "early")
 
 
 def run_scenario(scenario: Scenario, algorithm_name: str,
-                 backend: Optional[str] = None,
-                 event_queue: str = "reference",
-                 ) -> ConformanceRun:
+                 backend: Optional[str] = None) -> ConformanceRun:
     """Execute one scenario under one algorithm and trace it."""
     entry = get_algorithm(algorithm_name)
     spec = entry.spec
@@ -58,7 +56,7 @@ def run_scenario(scenario: Scenario, algorithm_name: str,
 
     reset_packet_ids(0)
     tracer = Tracer()
-    sim = Simulator(tracer=tracer, queue=event_queue)
+    sim = Simulator(tracer=tracer)
     link = Link(scenario.link_rate_bps, tracer=tracer)
     scheduler = PieoScheduler(algorithm,
                               link_rate_bps=scenario.link_rate_bps,
@@ -194,14 +192,12 @@ def check_algorithm(algorithm_name: str,
                     scenario: Optional[Scenario] = None,
                     seed: int = 0,
                     backend: Optional[str] = None,
-                    event_queue: str = "reference",
                     inject: Optional[str] = None) -> ConformanceReport:
     """Run one algorithm's conformance scenario and judge it."""
     entry = get_algorithm(algorithm_name)
     if scenario is None:
         scenario = make_scenario(entry.spec.scenario, seed=seed)
-    run = run_scenario(scenario, algorithm_name, backend=backend,
-                       event_queue=event_queue)
+    run = run_scenario(scenario, algorithm_name, backend=backend)
     if inject is not None:
         corrupted = inject_violation(run.analysis.events, inject)
         run = ConformanceRun(analysis=TraceAnalysis(corrupted),
@@ -219,13 +215,12 @@ def check_algorithm(algorithm_name: str,
 def sweep_registry(algorithms: Optional[Sequence[str]] = None,
                    seed: int = 0,
                    backend: Optional[str] = None,
-                   event_queue: str = "reference",
                    ) -> List[ConformanceReport]:
     """Conformance-check every registered algorithm."""
     from repro.sched.registry import available_algorithms
     names = list(algorithms) if algorithms else available_algorithms()
-    return [check_algorithm(name, seed=seed, backend=backend,
-                            event_queue=event_queue) for name in names]
+    return [check_algorithm(name, seed=seed, backend=backend)
+            for name in names]
 
 
 def check_trace(path: str) -> List[ConformanceReport]:

@@ -62,11 +62,10 @@ def build_fabric_incast(buffer_bytes: int,
                         algorithm: str = "drr",
                         duration: float = 0.002,
                         backend: Optional[str] = None,
-                        event_queue: str = "reference",
                         tracer=None, metrics=None) -> Fabric:
     """Wire the 2-tier incast fabric and start its CBR senders."""
     fabric = Fabric(incast_fabric_topology(), algorithm=algorithm,
-                    backend=backend, event_queue=event_queue,
+                    backend=backend,
                     buffer_bytes=buffer_bytes, drop_policy=drop_policy,
                     tracer=tracer, metrics=metrics)
     for index in range(SENDERS):
@@ -86,7 +85,7 @@ def _fabric_incast_point(spec: Tuple, tracer=None,
                          metrics=None) -> Tuple[dict, str]:
     """One sweep point (module-level: picklable for ``--jobs``)."""
     (index, buffer_kib, drop_policy, algorithm, backend, duration,
-     event_queue, traced) = spec
+     traced) = spec
     reset_packet_ids(point_seed(index))
     sink = None
     if tracer is None and traced:
@@ -96,7 +95,6 @@ def _fabric_incast_point(spec: Tuple, tracer=None,
                                  drop_policy=drop_policy,
                                  algorithm=algorithm, duration=duration,
                                  backend=backend,
-                                 event_queue=event_queue,
                                  tracer=tracer, metrics=metrics)
     fabric.sim.run()
     conservation = fabric.conservation()
@@ -124,7 +122,7 @@ def fabric_incast_table(
         buffer_kib_sweep: Sequence[int] = DEFAULT_BUFFER_KIB,
         drop_policy: str = "tail-drop", algorithm: str = "drr",
         duration: float = 0.002, backend: Optional[str] = None,
-        tracer=None, metrics=None, event_queue: str = "reference",
+        tracer=None, metrics=None,
         jobs: int = 1, heartbeat=None) -> Table:
     """Incast drops vs ToR buffer size on the 2-tier fabric.
 
@@ -140,7 +138,7 @@ def fabric_incast_table(
                  "hot_drops", "agg_drops", "goodput_gbps", "drop_pct"],
     )
     specs = [(index, buffer_kib, drop_policy, algorithm, backend,
-              duration, event_queue, tracer is not None)
+              duration, tracer is not None)
              for index, buffer_kib in enumerate(buffer_kib_sweep)]
     sharded = jobs > 1 and metrics is None
     if sharded:

@@ -57,7 +57,6 @@ def build_fct_fabric(load: float, *, workload: str = "pareto",
                      buffer_kib: int = BUFFER_KIB,
                      duration: float = DEFAULT_DURATION,
                      backend: Optional[str] = None,
-                     event_queue: str = "reference",
                      seed: int = 0,
                      tracer=None, metrics=None) -> Fabric:
     """Build the leaf-spine fabric and start every host's open-loop
@@ -66,7 +65,6 @@ def build_fct_fabric(load: float, *, workload: str = "pareto",
     topology = leaf_spine(leaves=leaves, spines=spines,
                           hosts_per_leaf=hosts_per_leaf)
     fabric = Fabric(topology, algorithm=algorithm, backend=backend,
-                    event_queue=event_queue,
                     buffer_bytes=buffer_kib * 1024,
                     drop_policy=drop_policy, seed=seed,
                     tracer=tracer, metrics=metrics)
@@ -87,8 +85,7 @@ def _fct_point(spec: Tuple, tracer=None,
                metrics=None) -> Tuple[dict, str]:
     """One FCT sweep point (module-level: picklable for ``--jobs``)."""
     (index, load, workload, leaves, spines, hosts_per_leaf, algorithm,
-     drop_policy, buffer_kib, duration, backend, event_queue,
-     traced) = spec
+     drop_policy, buffer_kib, duration, backend, traced) = spec
     seed = point_seed(index)
     reset_packet_ids(seed)
     sink = None
@@ -101,8 +98,8 @@ def _fct_point(spec: Tuple, tracer=None,
                               algorithm=algorithm,
                               drop_policy=drop_policy,
                               buffer_kib=buffer_kib, duration=duration,
-                              backend=backend, event_queue=event_queue,
-                              seed=seed, tracer=tracer, metrics=metrics)
+                              backend=backend, seed=seed,
+                              tracer=tracer, metrics=metrics)
     fabric.sim.run()
     conservation = fabric.conservation()
     if not conservation["balanced"]:
@@ -129,15 +126,14 @@ def fct_table(loads: Sequence[float] = DEFAULT_LOADS,
               duration: float = DEFAULT_DURATION,
               backend: Optional[str] = None,
               tracer=None, metrics=None,
-              event_queue: str = "reference",
               jobs: int = 1, heartbeat=None) -> Table:
     """FCT slowdown vs offered load on a leaf-spine fabric.
 
     Slowdown = measured FCT / ideal FCT along the flow's routed path;
     p50/p99 reported for all flows and split short (<= 100 KB) vs
     long.  ``--jobs`` shards loads over processes byte-identically;
-    ``event_queue`` and ``backend`` are result-preserving
-    substitutions, same as every other experiment.
+    ``backend`` is a result-preserving substitution, same as every
+    other experiment.
     """
     hosts = leaves * hosts_per_leaf
     table = Table(
@@ -150,7 +146,7 @@ def fct_table(loads: Sequence[float] = DEFAULT_LOADS,
     )
     specs = [(index, load, workload, leaves, spines, hosts_per_leaf,
               algorithm, drop_policy, buffer_kib, duration, backend,
-              event_queue, tracer is not None)
+              tracer is not None)
              for index, load in enumerate(loads)]
     sharded = jobs > 1 and metrics is None
     if sharded:

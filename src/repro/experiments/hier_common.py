@@ -50,7 +50,6 @@ def run_hierarchy(node_rate_gbps: Sequence[float],
                   list_factory: Optional[Callable] = None,
                   flows_per_node: int = FLOWS_PER_NODE,
                   tracer=None, metrics=None,
-                  event_queue: str = "reference",
                   drain: Optional[bool] = None) -> HierRun:
     """Simulate the Section 6.3 topology and measure achieved rates.
 
@@ -58,12 +57,11 @@ def run_hierarchy(node_rate_gbps: Sequence[float],
     measured after a warm-up window.  ``tracer``/``metrics``
     (:mod:`repro.obs`) observe the whole stack: simulator timers, link
     serialization, per-level enqueue/dequeue, and packet
-    arrivals/departures.  ``event_queue`` selects the simulator's
-    pending-event backend (results are bit-identical across backends);
-    ``drain`` forces the transmit engine's batched fast path on/off
-    (default: automatic — on only for unobserved runs).
+    arrivals/departures.  ``drain`` forces the transmit engine's
+    batched fast path on/off (default: automatic — on only for
+    unobserved runs).
     """
-    sim = Simulator(tracer=tracer, metrics=metrics, queue=event_queue)
+    sim = Simulator(tracer=tracer, metrics=metrics)
     link = Link(gbps(LINK_GBPS), tracer=tracer)
     node_rates = [gbps(rate) for rate in node_rate_gbps]
     root, leaves = two_level_tree(

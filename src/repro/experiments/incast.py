@@ -114,13 +114,13 @@ def _incast_point(spec: Tuple, tracer=None,
     merges it).
     """
     (index, buffer_kib, ports, drop_policy, algorithm, backend,
-     duration, event_queue, traced) = spec
+     duration, traced) = spec
     reset_packet_ids(point_seed(index))
     sink = None
     if tracer is None and traced:
         sink = io.StringIO()
         tracer = Tracer(capacity=0, sink=sink)
-    sim = Simulator(tracer=tracer, metrics=metrics, queue=event_queue)
+    sim = Simulator(tracer=tracer, metrics=metrics)
     dataplane = build_incast(sim, buffer_bytes=buffer_kib * 1024,
                              ports=ports, drop_policy=drop_policy,
                              algorithm=algorithm, duration=duration,
@@ -152,18 +152,15 @@ def incast_table(buffer_kib_sweep: Sequence[int] = DEFAULT_BUFFER_KIB,
                  algorithm: str = "drr", duration: float = 0.002,
                  backend: Optional[str] = None,
                  tracer=None, metrics=None,
-                 event_queue: str = "reference",
                  jobs: int = 1, heartbeat=None) -> Table:
     """Incast sweep: drops vs shared-buffer size on a 4-port dataplane.
 
     ``tracer``/``metrics`` observe every simulation in the sweep (drop
     events carry ``port`` labels; metric names are scoped
     ``port.<id>.*``); a ``mark`` event delimits each sweep point in the
-    trace stream.  ``event_queue`` selects the simulator's
-    pending-event backend, ``backend`` the per-port schedulers'
-    ordered-list engine, and ``jobs`` shards sweep points over
-    processes — all three leave every result byte-identical.
-    (``metrics``
+    trace stream.  ``backend`` selects the per-port schedulers'
+    ordered-list engine and ``jobs`` shards sweep points over
+    processes — both leave every result byte-identical.  (``metrics``
     aggregation is in-process, so a metrics-observed sweep always runs
     sequentially.)
     """
@@ -177,7 +174,7 @@ def incast_table(buffer_kib_sweep: Sequence[int] = DEFAULT_BUFFER_KIB,
                  "hot_drops", "evicted", "hot_gbps", "drop_pct"],
     )
     specs = [(index, buffer_kib, ports, drop_policy, algorithm,
-              backend, duration, event_queue, tracer is not None)
+              backend, duration, tracer is not None)
              for index, buffer_kib in enumerate(buffer_kib_sweep)]
     sharded = jobs > 1 and metrics is None
     if sharded:

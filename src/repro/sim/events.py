@@ -3,26 +3,12 @@
 Time is a float (seconds).  Events scheduled for the same instant fire in
 scheduling order, which keeps runs fully deterministic.
 
-The pending-event set lives behind a small :class:`EventQueue` interface
-with a registry mirroring :mod:`repro.core.backends`:
-
-``reference``
-    The original ``heapq`` binary heap.  Entries are ``(time, seq,
-    handle, callback)`` tuples so same-instant events pop in scheduling
-    order.
-
-``calendar``
-    A calendar queue: events are hashed into fixed-width time buckets
-    (``slot = floor(time / bucket_width)``) kept in a dict, with a small
-    heap of active slot ids.  Each bucket is itself a tiny heap keyed by
-    ``(time, seq)``.  Because the slot index is monotone in time, the
-    global minimum always lives in the minimum active slot, so firing
-    order — including same-instant ties — is identical to the reference.
-
-Both backends cancel lazily: :meth:`EventHandle.cancel` marks the handle
+The pending events live in one ``heapq`` binary heap of ``(time, seq,
+handle, callback)`` tuples, so same-instant events pop in scheduling
+order.  Cancellation is lazy: :meth:`EventHandle.cancel` marks the handle
 and the entry is discarded when it surfaces.  To keep the resident set
-bounded under heavy cancel churn (retry timers), a queue compacts — i.e.
-rebuilds without dead entries — once more than half its resident entries
+bounded under heavy cancel churn (retry timers), the heap is compacted —
+rebuilt without dead entries — once more than half its resident entries
 are cancelled (with a small absolute floor so tiny queues never bother).
 """
 
@@ -31,21 +17,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.scope import NULL_METRICS, NULL_TRACER
 
 EventCallback = Callable[[], None]
 
-#: Queue entry: (time, seq, handle, callback).
+#: Heap entry: (time, seq, handle, callback).
 EventEntry = Tuple[float, int, "EventHandle", EventCallback]
 
 #: Compaction triggers when cancelled entries exceed this count AND make
 #: up more than half of the resident set.
 COMPACT_MIN_CANCELLED = 64
-
 
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; supports cancel."""
@@ -75,275 +59,6 @@ class EventHandle:
                                      scope="sim", deadline=self.time)
 
 
-# ----------------------------------------------------------------------
-# Event-queue backends
-# ----------------------------------------------------------------------
-class EventQueue:
-    """Ordered set of pending events.
-
-    Entries are ``(time, seq, handle, callback)`` tuples; the queue must
-    surface them in ``(time, seq)`` order.  Cancellation is lazy: the
-    simulator calls :meth:`note_cancel` when a resident entry's handle is
-    cancelled, and the queue discards dead entries when they surface or
-    during :meth:`compact`.
-    """
-
-    name = "abstract"
-
-    def push(self, entry: EventEntry) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Optional[EventEntry]:
-        """Remove and return the next live entry, or None when empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live entry, or None when empty."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        """Number of live (non-cancelled) resident entries."""
-        raise NotImplementedError
-
-    @property
-    def resident(self) -> int:
-        """Total resident entries, including cancelled ones."""
-        raise NotImplementedError
-
-    @property
-    def cancelled(self) -> int:
-        """Cancelled entries still occupying space."""
-        raise NotImplementedError
-
-    def note_cancel(self) -> None:
-        """A resident entry's handle was cancelled."""
-        raise NotImplementedError
-
-    def compact(self) -> None:
-        """Rebuild without cancelled entries."""
-        raise NotImplementedError
-
-
-class HeapEventQueue(EventQueue):
-    """The reference backend: one ``heapq`` binary heap."""
-
-    name = "reference"
-
-    __slots__ = ("_heap", "_cancelled")
-
-    def __init__(self) -> None:
-        self._heap: List[EventEntry] = []
-        self._cancelled = 0
-
-    def push(self, entry: EventEntry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def pop(self) -> Optional[EventEntry]:
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[2].cancelled:
-                self._cancelled -= 1
-                continue
-            return entry
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    @property
-    def resident(self) -> int:
-        return len(self._heap)
-
-    @property
-    def cancelled(self) -> int:
-        return self._cancelled
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._heap)):
-            self.compact()
-
-    def compact(self) -> None:
-        self._heap = [e for e in self._heap if not e[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-
-class CalendarEventQueue(EventQueue):
-    """Calendar-queue backend: dict of fixed-width time buckets.
-
-    ``bucket_width`` is the slot granularity in seconds; the default of
-    one microsecond is a few packet times at the 40 Gbps link rates the
-    experiments use, so same-bucket heaps stay tiny while the slot heap
-    stays far smaller than the event count.
-    """
-
-    name = "calendar"
-
-    __slots__ = ("_width", "_buckets", "_slot_heap", "_active",
-                 "_resident", "_cancelled")
-
-    #: Slot index cap: guards ``int(inf / width)`` overflow for events
-    #: scheduled arbitrarily far out.
-    MAX_SLOT = 2 ** 62
-
-    def __init__(self, bucket_width: float = 1e-6) -> None:
-        if not (bucket_width > 0) or math.isinf(bucket_width):
-            raise ConfigurationError(
-                f"bucket_width must be a positive finite float, "
-                f"got {bucket_width!r}")
-        self._width = bucket_width
-        self._buckets: Dict[int, List[EventEntry]] = {}
-        self._slot_heap: List[int] = []
-        self._active: set = set()
-        self._resident = 0
-        self._cancelled = 0
-
-    def _slot(self, time: float) -> int:
-        if time >= self._width * self.MAX_SLOT:
-            return self.MAX_SLOT
-        return int(time / self._width)
-
-    def push(self, entry: EventEntry) -> None:
-        slot = self._slot(entry[0])
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            self._buckets[slot] = [entry]
-            self._active.add(slot)
-            heapq.heappush(self._slot_heap, slot)
-        else:
-            heapq.heappush(bucket, entry)
-        self._resident += 1
-
-    def _min_bucket(self) -> Optional[List[EventEntry]]:
-        """Bucket holding the global minimum live entry, cancelled
-        entries pruned from its front; None when the queue is empty."""
-        slot_heap = self._slot_heap
-        buckets = self._buckets
-        while slot_heap:
-            slot = slot_heap[0]
-            bucket = buckets.get(slot)
-            if bucket:
-                while bucket and bucket[0][2].cancelled:
-                    heapq.heappop(bucket)
-                    self._resident -= 1
-                    self._cancelled -= 1
-                if bucket:
-                    return bucket
-            heapq.heappop(slot_heap)
-            self._active.discard(slot)
-            buckets.pop(slot, None)
-        return None
-
-    def pop(self) -> Optional[EventEntry]:
-        bucket = self._min_bucket()
-        if bucket is None:
-            return None
-        entry = heapq.heappop(bucket)
-        self._resident -= 1
-        return entry
-
-    def peek_time(self) -> Optional[float]:
-        bucket = self._min_bucket()
-        return bucket[0][0] if bucket else None
-
-    def __len__(self) -> int:
-        return self._resident - self._cancelled
-
-    @property
-    def resident(self) -> int:
-        return self._resident
-
-    @property
-    def cancelled(self) -> int:
-        return self._cancelled
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > self._resident):
-            self.compact()
-
-    def compact(self) -> None:
-        live = [e for bucket in self._buckets.values()
-                for e in bucket if not e[2].cancelled]
-        self._buckets.clear()
-        self._slot_heap.clear()
-        self._active.clear()
-        self._resident = 0
-        self._cancelled = 0
-        for entry in live:
-            self.push(entry)
-
-
-# ----------------------------------------------------------------------
-# Backend registry (mirrors repro.core.backends)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EventQueueSpec:
-    """Registry entry for an event-queue backend."""
-
-    name: str
-    factory: Callable[..., EventQueue]
-    description: str = ""
-
-
-_EVENT_QUEUES: Dict[str, EventQueueSpec] = {}
-
-
-def register_event_queue(name: str, factory: Callable[..., EventQueue],
-                         description: str = "",
-                         overwrite: bool = False) -> EventQueueSpec:
-    """Register an event-queue backend under ``name``."""
-    if name in _EVENT_QUEUES and not overwrite:
-        raise ConfigurationError(
-            f"event queue {name!r} already registered "
-            f"(pass overwrite=True to replace)")
-    spec = EventQueueSpec(name=name, factory=factory,
-                          description=description)
-    _EVENT_QUEUES[name] = spec
-    return spec
-
-
-def available_event_queues() -> List[str]:
-    return sorted(_EVENT_QUEUES)
-
-
-def get_event_queue(name: str) -> EventQueueSpec:
-    try:
-        return _EVENT_QUEUES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown event queue {name!r}; available: "
-            f"{', '.join(available_event_queues())}") from None
-
-
-def make_event_queue(name: str, **config) -> EventQueue:
-    """Instantiate a registered backend (``config`` goes to its factory)."""
-    return get_event_queue(name).factory(**config)
-
-
-register_event_queue(
-    "reference", HeapEventQueue,
-    description="heapq binary heap (the original backend)")
-register_event_queue(
-    "calendar", CalendarEventQueue,
-    description="calendar queue: fixed-width time buckets with lazy "
-                "cancellation and compaction")
-
-
-# ----------------------------------------------------------------------
-# Simulator
-# ----------------------------------------------------------------------
 class Simulator:
     """Event loop with absolute-time scheduling.
 
@@ -356,31 +71,16 @@ class Simulator:
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) exposes
     ``sim.pending_events`` / ``sim.cancelled_events`` gauges tracking the
     live and cancelled-but-resident event populations (updated on every
-    schedule/cancel/fire, so the gauge watermarks bound the queue's
+    schedule/cancel/fire, so the gauge watermarks bound the heap's
     footprint over the whole run).
-
-    ``queue`` selects the pending-event backend: a registered name
-    (``"reference"``, ``"calendar"``) or an :class:`EventQueue` instance;
-    ``queue_config`` passes keyword options to the named backend's
-    factory (e.g. ``{"bucket_width": 1e-7}``).  All backends fire events
-    in identical order, so results are bit-identical across them.
     """
 
-    def __init__(self, tracer=None, metrics=None,
-                 queue: "str | EventQueue" = "reference",
-                 queue_config: Optional[dict] = None) -> None:
+    def __init__(self, tracer=None, metrics=None) -> None:
         self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        if isinstance(queue, str):
-            self._queue = make_event_queue(queue, **(queue_config or {}))
-        else:
-            if queue_config:
-                raise ConfigurationError(
-                    "queue_config only applies when queue is a name")
-            self._queue = queue
-        self.queue_name = getattr(self._queue, "name",
-                                  type(self._queue).__name__)
+        self._heap: List[EventEntry] = []
+        self._cancelled = 0
         self._seq = itertools.count()
         self.events_fired = 0
         # Fast-forward window for Simulator.advance_to (set by run/
@@ -402,28 +102,34 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) events currently resident."""
-        return len(self._queue)
+        return len(self._heap) - self._cancelled
 
     @property
     def cancelled_events(self) -> int:
-        """Cancelled events still occupying queue space."""
-        return self._queue.cancelled
+        """Cancelled events still occupying heap space."""
+        return self._cancelled
 
     def _update_gauges(self) -> None:
-        queue = self._queue
-        self._g_pending.set(len(queue))
-        self._g_cancelled.set(queue.cancelled)
+        self._g_pending.set(len(self._heap) - self._cancelled)
+        self._g_cancelled.set(self._cancelled)
 
     def _note_cancel(self) -> None:
         """Called by :meth:`EventHandle.cancel` for resident entries."""
-        self._queue.note_cancel()
+        self._cancelled += 1
+        heap = self._heap
+        if (self._cancelled > COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 > len(heap)):
+            # In place: run loops hold a reference to the list.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
+            self._cancelled = 0
         if self._metered:
             self._update_gauges()
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, time: float, callback: EventCallback) -> EventHandle:
-        """Run ``callback`` at absolute ``time`` (>= now)."""
-        if time < self.now:
+        """Run ``callback`` at absolute ``time`` (>= now; never NaN)."""
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
         seq = next(self._seq)
@@ -431,37 +137,45 @@ class Simulator:
                              sim=self)
         if self._traced:
             self.tracer.timer_arm(self.now, seq, deadline=time, scope="sim")
-        self._queue.push((time, seq, handle, callback))
+        heapq.heappush(self._heap, (time, seq, handle, callback))
         if self._metered:
             self._update_gauges()
         return handle
 
     def schedule_in(self, delay: float,
                     callback: EventCallback) -> EventHandle:
-        """Run ``callback`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        """Run ``callback`` after ``delay`` seconds (>= 0; never NaN)."""
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay}")
         return self.schedule(self.now + delay, callback)
 
     def peek_next_time(self) -> Optional[float]:
-        return self._queue.peek_time()
+        """Time of the next live event, or None when none remain."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
 
     # -- dispatch ------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event; False when none remain."""
-        entry = self._queue.pop()
-        if entry is None:
-            return False
-        time, seq, handle, callback = entry
-        handle.fired = True
-        self.now = time
-        self.events_fired += 1
-        if self._traced:
-            self.tracer.timer_fire(time, seq, scope="sim")
-        if self._metered:
-            self._update_gauges()
-        callback()
-        return True
+        heap = self._heap
+        while heap:
+            time, seq, handle, callback = heapq.heappop(heap)
+            if handle.cancelled:
+                self._cancelled -= 1
+                continue
+            handle.fired = True
+            self.now = time
+            self.events_fired += 1
+            if self._traced:
+                self.tracer.timer_fire(time, seq, scope="sim")
+            if self._metered:
+                self._update_gauges()
+            callback()
+            return True
+        return False
 
     def register_clock_consumer(self) -> None:
         """Declare a component that may call :meth:`advance_to`.
@@ -469,7 +183,7 @@ class Simulator:
         Transmit engines register themselves at construction.  While
         more than one consumer is registered, every :meth:`advance_to`
         is refused and callers fall back to their event-driven paths,
-        which serialize correctly through the shared queue.
+        which serialize correctly through the shared heap.
         """
         self._clock_consumers += 1
 
@@ -484,10 +198,9 @@ class Simulator:
         within the horizon, the event budget has room, no pending event
         fires at or before ``time``, and at most one clock consumer is
         registered (two engines sharing a simulator must serialize
-        through the event queue, not jump past each other).  A
-        successful advance counts against ``events_fired`` exactly like
-        the timer event it replaces, so livelock guards keep their
-        meaning.
+        through the heap, not jump past each other).  A successful
+        advance counts against ``events_fired`` exactly like the timer
+        event it replaces, so livelock guards keep their meaning.
         """
         if self._clock_consumers > 1:
             return False
@@ -497,7 +210,7 @@ class Simulator:
         budget = self._budget
         if budget is not None and self.events_fired >= budget:
             return False
-        next_time = self._queue.peek_time()
+        next_time = self.peek_next_time()
         if next_time is not None and next_time <= time:
             return False
         self.now = time
@@ -506,46 +219,42 @@ class Simulator:
 
     def run_until(self, end_time: float,
                   max_events: Optional[int] = None) -> None:
-        """Fire events until the queue drains or ``end_time`` is reached.
+        """Fire events until the heap drains or ``end_time`` is reached.
 
         The clock is left at ``end_time`` (or at the last event if the
-        queue drained first and that is earlier).
+        heap drained first and that is earlier).
         """
+        self._drain(end_time, max_events)
+        if self.now < end_time:
+            self.now = end_time
+
+    def run(self, max_events: Optional[int] = 10_000_000) -> None:
+        """Drain the event heap completely."""
+        self._drain(math.inf, max_events)
+
+    def _drain(self, end_time: float, max_events: Optional[int]) -> None:
+        """Step every event at or before ``end_time``; raise once more
+        than ``max_events`` would fire.  Each event is dispatched through
+        :meth:`step`."""
         prev_horizon, prev_budget = self._horizon, self._budget
         self._horizon = end_time
         budget = (None if max_events is None
                   else self.events_fired + max_events)
         self._budget = budget
-        queue = self._queue
+        heap = self._heap
         try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > end_time:
+            while heap:
+                head = heap[0]
+                if head[2].cancelled:
+                    heapq.heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                if head[0] > end_time:
                     break
                 if budget is not None and self.events_fired >= budget:
                     raise SimulationError(
                         f"exceeded max_events={max_events} before "
                         f"t={end_time}; likely a scheduling livelock")
                 self.step()
-        finally:
-            self._horizon, self._budget = prev_horizon, prev_budget
-        if self.now < end_time:
-            self.now = end_time
-
-    def run(self, max_events: int = 10_000_000) -> None:
-        """Drain the event queue completely."""
-        prev_horizon, prev_budget = self._horizon, self._budget
-        self._horizon = math.inf
-        budget = (None if max_events is None
-                  else self.events_fired + max_events)
-        self._budget = budget
-        try:
-            while True:
-                if not self.step():
-                    break
-                if budget is not None and self.events_fired >= budget:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely a livelock")
         finally:
             self._horizon, self._budget = prev_horizon, prev_budget

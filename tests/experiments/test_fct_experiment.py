@@ -1,4 +1,4 @@
-"""The end-to-end FCT experiment: sharding/event-queue byte-identity,
+"""The end-to-end FCT experiment: sharding byte-identity,
 the fair-queueing-vs-FIFO policy gap, and the CLI surface."""
 
 import io
@@ -18,11 +18,11 @@ def _run(*argv):
     return main(["prog", *argv])
 
 
-def _table(jobs=1, event_queue="reference", loads=LOADS, **kwargs):
+def _table(jobs=1, loads=LOADS, **kwargs):
     sink = io.StringIO()
     tracer = Tracer(capacity=0, sink=sink)
     table = fct_table(loads=loads, duration=DURATION, tracer=tracer,
-                      event_queue=event_queue, jobs=jobs, **kwargs)
+                      jobs=jobs, **kwargs)
     return table.to_text(), sink.getvalue()
 
 
@@ -31,11 +31,6 @@ def test_sharded_run_matches_sequential_bytes():
     assert _table(jobs=4) == sequential
     # One mark per sweep point, regardless of sharding.
     assert sequential[1].count('"kind":"mark"') == len(LOADS)
-
-
-def test_calendar_event_queue_matches_reference_bytes():
-    assert _table(event_queue="calendar") == _table()
-    assert _table(jobs=4, event_queue="calendar") == _table()
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

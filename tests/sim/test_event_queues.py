@@ -1,59 +1,26 @@
-"""Event-queue backends: differential, calendar-specific, and soak tests.
+"""The simulator's event heap: ordering, cancellation, and soak tests.
 
-The load-bearing property is that every registered backend fires events
-in exactly the (time, seq) order of the reference heap — including
-same-instant ties and lazily-cancelled entries — so simulation results
-are bit-identical across backends.  The hypothesis lockstep test below
-drives random schedule/cancel/advance programs through a Simulator per
-backend and compares the full firing logs.
+The load-bearing property is that events fire in exactly ``(time, seq)``
+order — including same-instant ties and lazily-cancelled entries.  The
+hypothesis lockstep test below drives random schedule/cancel/advance
+programs through a :class:`Simulator` and through an independent model
+(a plain list kept sorted by ``(time, seq)``, cancelling eagerly) and
+compares the full firing logs.
 """
 
 import itertools
-import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.sim.events import (COMPACT_MIN_CANCELLED, CalendarEventQueue,
-                              HeapEventQueue, Simulator,
-                              available_event_queues, get_event_queue,
-                              make_event_queue, register_event_queue)
-
-BACKENDS = ("reference", "calendar")
+from repro.sim.events import COMPACT_MIN_CANCELLED, Simulator
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The simulator's basic contract
 # ----------------------------------------------------------------------
-def test_registry_lists_both_backends():
-    assert set(BACKENDS) <= set(available_event_queues())
-    assert get_event_queue("reference").factory is HeapEventQueue
-    assert get_event_queue("calendar").factory is CalendarEventQueue
-
-
-def test_registry_rejects_unknown_and_duplicate_names():
-    with pytest.raises(ConfigurationError):
-        get_event_queue("nope")
-    with pytest.raises(ConfigurationError):
-        register_event_queue("reference", HeapEventQueue)
-
-
-def test_queue_config_reaches_factory():
-    queue = make_event_queue("calendar", bucket_width=1e-3)
-    assert queue._width == 1e-3
-    with pytest.raises(ConfigurationError):
-        Simulator(queue=HeapEventQueue(),
-                  queue_config={"bucket_width": 1e-3})
-
-
-# ----------------------------------------------------------------------
-# Both backends pass the simulator's basic contract
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_time_order_and_fifo_ties(backend):
-    sim = Simulator(queue=backend)
+def test_time_order_and_fifo_ties():
+    sim = Simulator()
     log = []
     sim.schedule(2.0, lambda: log.append("late"))
     for name in "abc":  # same instant: scheduling order
@@ -63,15 +30,14 @@ def test_time_order_and_fifo_ties(backend):
     assert log == ["early", "a", "b", "c", "late"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancel_then_fire_race(backend):
+def test_cancel_then_fire_race():
     """Cancelling one of several same-instant entries must skip exactly
-    that one, even after a peek already surfaced the bucket."""
-    sim = Simulator(queue=backend)
+    that one, even after a peek already surfaced it."""
+    sim = Simulator()
     log = []
     doomed = sim.schedule(1.0, lambda: log.append("doomed"))
     sim.schedule(1.0, lambda: log.append("kept"))
-    assert sim.peek_next_time() == 1.0  # may prune into the bucket
+    assert sim.peek_next_time() == 1.0
     doomed.cancel()
     assert sim.peek_next_time() == 1.0
     sim.run()
@@ -79,9 +45,8 @@ def test_cancel_then_fire_race(backend):
     assert sim.pending_events == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancel_after_fire_is_noop(backend):
-    sim = Simulator(queue=backend)
+def test_cancel_after_fire_is_noop():
+    sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.run()
@@ -90,50 +55,53 @@ def test_cancel_after_fire_is_noop(backend):
 
 
 # ----------------------------------------------------------------------
-# Calendar-queue specifics
+# Hypothesis: lockstep against a sorted-list model
 # ----------------------------------------------------------------------
-def test_calendar_bucket_width_validated():
-    for width in (0.0, -1.0, math.inf):
-        with pytest.raises(ConfigurationError):
-            CalendarEventQueue(bucket_width=width)
+class _SortedListModel:
+    """Independent reference event loop: a plain list kept sorted by
+    ``(time, seq)``; cancellation removes the entry at once."""
+
+    class Handle:
+        def __init__(self, model, seq):
+            self.model = model
+            self.seq = seq
+
+        def cancel(self):
+            self.model.entries = [entry for entry in self.model.entries
+                                  if entry[1] != self.seq]
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []
+        self.events_fired = 0
+        self._seq = itertools.count()
+
+    @property
+    def pending_events(self):
+        return len(self.entries)
+
+    def schedule(self, time, callback):
+        seq = next(self._seq)
+        self.entries = sorted(self.entries + [(time, seq, callback)],
+                              key=lambda entry: entry[:2])
+        return self.Handle(self, seq)
+
+    def _fire_next(self):
+        time, _, callback = self.entries.pop(0)
+        self.now = time
+        self.events_fired += 1
+        callback()
+
+    def run_until(self, end_time):
+        while self.entries and self.entries[0][0] <= end_time:
+            self._fire_next()
+        self.now = max(self.now, end_time)
+
+    def run(self):
+        while self.entries:
+            self._fire_next()
 
 
-def test_calendar_far_future_slot_is_clamped():
-    sim = Simulator(queue="calendar")
-    log = []
-    sim.schedule(1e300, lambda: log.append("far"))
-    sim.schedule(1.0, lambda: log.append("near"))
-    assert sim.peek_next_time() == 1.0
-    sim.run()
-    assert log == ["near", "far"]
-
-
-def test_calendar_cross_bucket_order():
-    """Entries microseconds apart land in different buckets but still
-    fire in time order; entries within one bucket order by (time, seq)."""
-    sim = Simulator(queue="calendar", queue_config={"bucket_width": 1e-6})
-    log = []
-    for t in (5e-6, 1e-7, 3e-6, 1.5e-7, 1e-7):
-        sim.schedule(t, lambda t=t: log.append(t))
-    sim.run()
-    assert log == [1e-7, 1e-7, 1.5e-7, 3e-6, 5e-6]
-
-
-def test_calendar_empty_bucket_is_reclaimed():
-    queue = CalendarEventQueue()
-    sim = Simulator(queue=queue)
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    assert len(queue._buckets) == 0
-    assert queue.resident == 0
-
-
-# ----------------------------------------------------------------------
-# Hypothesis: lockstep differential
-# ----------------------------------------------------------------------
-# Delays below, at, and above the calendar bucket width (1 us), plus 0.0
-# so same-instant ties are common.
 _DELAYS = st.sampled_from(
     [0.0, 1e-7, 1.5e-7, 5e-7, 1e-6, 1.5e-6, 3.7e-6, 1e-3])
 
@@ -146,14 +114,15 @@ _COMMANDS = st.lists(
     max_size=80)
 
 
-def _execute(backend, commands):
-    """Run one command program; returns (firing log, final now, fired).
+def _execute(sim, commands):
+    """Run one command program; returns (firing log, live-event count
+    after each command, final now, events fired).
 
-    Callbacks occasionally reschedule so the differential also covers
+    Callbacks occasionally reschedule so the lockstep also covers
     events scheduled from inside the dispatch loop.
     """
-    sim = Simulator(queue=backend)
     log = []
+    pending = []
     handles = []
     labels = itertools.count()
 
@@ -164,8 +133,7 @@ def _execute(backend, commands):
             handles.append(sim.schedule(
                 sim.now + delay, lambda: log.append((chained, sim.now))))
 
-    for command in commands:
-        kind, value = command
+    for kind, value in commands:
         if kind == "schedule":
             label = next(labels)
             handles.append(sim.schedule(
@@ -175,44 +143,35 @@ def _execute(backend, commands):
                 handles[value % len(handles)].cancel()
         else:  # advance
             sim.run_until(sim.now + value)
+        pending.append(sim.pending_events)
     sim.run()
-    return log, sim.now, sim.events_fired
+    return log, pending, sim.now, sim.events_fired
 
 
 @given(commands=_COMMANDS)
 @settings(max_examples=60, deadline=None)
-def test_backends_fire_identically(commands):
-    reference = _execute("reference", commands)
-    calendar = _execute("calendar", commands)
-    assert calendar == reference
-
-
-@given(commands=_COMMANDS, width=st.sampled_from([1e-7, 1e-6, 1e-4, 1.0]))
-@settings(max_examples=30, deadline=None)
-def test_calendar_order_independent_of_bucket_width(commands, width):
-    reference = _execute("reference", commands)
-    sim_result = _execute(
-        CalendarEventQueue(bucket_width=width), commands)
-    assert sim_result == reference
+def test_heap_fires_like_sorted_list_model(commands):
+    assert (_execute(Simulator(), commands)
+            == _execute(_SortedListModel(), commands))
 
 
 # ----------------------------------------------------------------------
 # Soak: compaction bounds the resident set under cancel churn
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_compaction_bounds_resident_under_cancel_churn(backend):
+def test_compaction_bounds_resident_under_cancel_churn():
     """A retry-timer workload (arm, cancel, re-arm x5000) must not grow
-    the queue: lazy cancellation alone would retain every dead entry
+    the heap: lazy cancellation alone would retain every dead entry
     until its time surfaced, but compaction rebuilds once dead entries
     outnumber live ones.  The obs gauges see the same bound."""
     metrics = MetricsRegistry()
-    sim = Simulator(queue=backend, metrics=metrics)
+    sim = Simulator(metrics=metrics)
     sim.schedule(1.0, lambda: None)  # one live keeper
     peak_resident = 0
     for _ in range(5_000):
         handle = sim.schedule(0.5, lambda: None)
         handle.cancel()
-        peak_resident = max(peak_resident, sim._queue.resident)
+        peak_resident = max(peak_resident,
+                            sim.pending_events + sim.cancelled_events)
     bound = 2 * COMPACT_MIN_CANCELLED + 8
     assert peak_resident <= bound
     assert sim.pending_events == 1
@@ -226,10 +185,9 @@ def test_compaction_bounds_resident_under_cancel_churn(backend):
     assert pending_gauge.value == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tiny_queues_skip_compaction(backend):
+def test_tiny_queues_skip_compaction():
     """Below the absolute floor, cancellations stay lazily resident."""
-    sim = Simulator(queue=backend)
+    sim = Simulator()
     handles = [sim.schedule(1.0, lambda: None)
                for _ in range(COMPACT_MIN_CANCELLED)]
     for handle in handles:

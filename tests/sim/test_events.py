@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -90,3 +92,55 @@ def test_peek_next_time_skips_cancelled():
     sim.schedule(2.0, lambda: None)
     handle.cancel()
     assert sim.peek_next_time() == 2.0
+
+
+def _three_events(sim, count=3):
+    log = []
+    for index in range(count):
+        sim.schedule(float(index), lambda index=index: log.append(index))
+    return log
+
+
+@pytest.mark.parametrize("drain", [
+    lambda sim: sim.run(max_events=3),
+    lambda sim: sim.run_until(10.0, max_events=3),
+], ids=["run", "run_until"])
+def test_max_events_admits_exactly_the_budget(drain):
+    sim = Simulator()
+    log = _three_events(sim)
+    drain(sim)
+    assert log == [0, 1, 2]
+    assert sim.events_fired == 3
+
+
+@pytest.mark.parametrize("drain", [
+    lambda sim: sim.run(max_events=3),
+    lambda sim: sim.run_until(10.0, max_events=3),
+], ids=["run", "run_until"])
+def test_max_events_refuses_one_past_the_budget(drain):
+    sim = Simulator()
+    log = _three_events(sim, count=4)
+    with pytest.raises(SimulationError, match="max_events=3"):
+        drain(sim)
+    assert log == [0, 1, 2]
+
+
+def test_nan_event_times_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_in(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_infinite_event_time_allowed():
+    sim = Simulator()
+    log = []
+    sim.schedule(math.inf, lambda: log.append("never-late"))
+    sim.schedule_in(math.inf, lambda: log.append("also"))
+    sim.run_until(1e9)
+    assert log == []
+    sim.run()
+    assert log == ["never-late", "also"]
+    assert sim.now == math.inf
