@@ -99,7 +99,8 @@ def _write_profile(path) -> None:
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(30)
+    # Bare file names keep the artifact independent of the checkout path.
+    stats.strip_dirs().sort_stats("cumulative").print_stats(30)
     path.write_text(buffer.getvalue())
 
 

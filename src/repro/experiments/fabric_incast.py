@@ -65,8 +65,8 @@ def build_fabric_incast(buffer_bytes: int,
                         tracer=None, metrics=None) -> Fabric:
     """Wire the 2-tier incast fabric and start its CBR senders."""
     fabric = Fabric(incast_fabric_topology(), algorithm=algorithm,
-                    backend=backend,
-                    buffer_bytes=buffer_bytes, drop_policy=drop_policy,
+                    backend=backend, buffer_bytes=buffer_bytes,
+                    drop_policy=drop_policy,
                     tracer=tracer, metrics=metrics)
     for index in range(SENDERS):
         flow_id, sink = fabric.stream(f"s{index}", RECEIVER,

@@ -224,18 +224,20 @@ class Simulator:
         The clock is left at ``end_time`` (or at the last event if the
         heap drained first and that is earlier).
         """
-        self._drain(end_time, max_events)
+        self._fire_until(end_time, max_events)
         if self.now < end_time:
             self.now = end_time
 
     def run(self, max_events: Optional[int] = 10_000_000) -> None:
         """Drain the event heap completely."""
-        self._drain(math.inf, max_events)
+        self._fire_until(math.inf, max_events)
 
-    def _drain(self, end_time: float, max_events: Optional[int]) -> None:
+    def _fire_until(self, end_time: float,
+                    max_events: Optional[int]) -> None:
         """Step every event at or before ``end_time``; raise once more
-        than ``max_events`` would fire.  Each event is dispatched through
-        :meth:`step`."""
+        than ``max_events`` would fire.  Each event goes through
+        :meth:`step`, whose calls perfbench reports as
+        ``sim.events.steps_per_pkt``."""
         prev_horizon, prev_budget = self._horizon, self._budget
         self._horizon = end_time
         budget = (None if max_events is None
