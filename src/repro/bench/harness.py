@@ -9,10 +9,13 @@ the same process, interleaved with the workload**.  The normalized
 ratio cancels host speed to first order; CI's bench-telemetry job gates
 the quick scenarios with it.
 
-Five scenarios are registered:
+Six scenarios are registered:
 
 * ``hier`` — the single-link fig12 fast configuration (hierarchical
   Token Bucket + WF2Q+ over 100 flows);
+* ``hier_wide`` — the same tree with 400 flows per node (4,000 flows):
+  only N differs, so a scheduler cost that grows with the flow count
+  shows here and not in ``hier``;
 * ``incast`` — a 4-port shared-buffer dataplane under 2x
   oversubscription (classifier/admission/multi-engine path);
 * ``fabric`` — a leaf-spine :mod:`repro.net` fabric carrying
@@ -52,6 +55,10 @@ QUICK_ROUNDS = 2
 #: Simulated durations — kept identical between quick and full modes so
 #: committed baselines and quick CI runs measure the same workload.
 HIER_DURATION = 0.003
+HIER_WIDE_FLOWS_PER_NODE = 400
+#: Long enough that the 8,000 start-up arrivals are a small share of
+#: the departures (about three packets per flow).
+HIER_WIDE_DURATION = 0.01
 INCAST_DURATION = 0.002
 INCAST_BUFFER_KIB = 64
 
@@ -99,16 +106,25 @@ class Scenario:
     run: Callable[[bool], Tuple[float, Dict[str, int]]]
 
 
-def _run_hier(quick: bool) -> Tuple[float, Dict[str, int]]:
-    from repro.experiments.hier_common import (default_node_rates,
+def _run_hier(quick: bool, duration: float = HIER_DURATION,
+              flows_per_node: Optional[int] = None,
+              ) -> Tuple[float, Dict[str, int]]:
+    from repro.experiments.hier_common import (FLOWS_PER_NODE,
+                                               default_node_rates,
                                                run_hierarchy)
     from repro.sim.packet import reset_packet_ids
     reset_packet_ids(0)
     start = time.perf_counter()
-    run = run_hierarchy(default_node_rates(), duration=HIER_DURATION)
+    run = run_hierarchy(default_node_rates(), duration=duration,
+                        flows_per_node=flows_per_node or FLOWS_PER_NODE)
     elapsed = time.perf_counter() - start
     packets = len(run.engine.recorder)
     return packets / elapsed, {"packets": packets}
+
+
+def _run_hier_wide(quick: bool) -> Tuple[float, Dict[str, int]]:
+    return _run_hier(quick, duration=HIER_WIDE_DURATION,
+                     flows_per_node=HIER_WIDE_FLOWS_PER_NODE)
 
 
 def _run_incast(quick: bool) -> Tuple[float, Dict[str, int]]:
@@ -183,6 +199,10 @@ SCENARIOS: Dict[str, Scenario] = {
     "hier": Scenario(
         "hier", "single-link fig12 fast config (TB + WF2Q+, 100 flows)",
         "packets/sec", quick=True, run=_run_hier),
+    "hier_wide": Scenario(
+        "hier_wide", "the hier tree with "
+        f"{HIER_WIDE_FLOWS_PER_NODE} flows per node (4,000 flows)",
+        "packets/sec", quick=True, run=_run_hier_wide),
     "incast": Scenario(
         "incast", "4-port shared-buffer incast, 2x oversubscription",
         "packets/sec", quick=True, run=_run_incast),

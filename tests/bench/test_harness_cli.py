@@ -17,8 +17,8 @@ from tests.bench.test_compare import record_with
 
 class TestRegistry:
     def test_quick_subset(self):
-        assert available_scenarios(quick=True) == ["hier", "incast",
-                                                   "fabric"]
+        assert available_scenarios(quick=True) == ["hier", "hier_wide",
+                                                   "incast", "fabric"]
         full = available_scenarios(quick=False)
         assert set(full) >= {"hier", "incast", "fabric", "backend",
                              "analyze"}
@@ -77,6 +77,14 @@ class TestMeasureScenario:
         assert record["metrics"]["normalized"]["gated"] is True
         assert record["counts"]["hop_arrivals"] > 0
         assert record["counts"]["completed"] > 0
+
+    def test_hier_wide_scenario_runs_4000_flows(self):
+        rate, counts = get_scenario("hier_wide").run(True)
+        assert rate > 0
+        # Every one of the 4,000 flows starts with two queued packets;
+        # a run that served only the start-up backlog measures set-up,
+        # not the per-packet scheduler cost the scenario is for.
+        assert counts["packets"] > 2 * 4_000
 
 
 class TestCli:
